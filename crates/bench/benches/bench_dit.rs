@@ -66,6 +66,64 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     bench_deep(c);
+    bench_harvest(c);
+}
+
+/// 20 orgs x 500 hosts x (host + perf entry) + org entries = 20,020
+/// entries, bulk-loaded: the shape of a harvesting GIIS's aggregate
+/// tree. Host attributes repeat across orgs, so every posting spans
+/// the whole tree while a search covers one org.
+fn build_harvest_dit() -> Dit {
+    let systems = ["linux 2.4", "mips irix", "solaris 8", "aix 5"];
+    let mut batch = Vec::new();
+    for o in 0..20 {
+        let org = Dn::from_rdns(vec![Rdn::new("o", format!("O{o}"))]);
+        batch.push(Entry::new(org.clone()).with_class("organization"));
+        for h in 0..500 {
+            let host = org.child(Rdn::new("hn", format!("h{h}")));
+            let mut e = Entry::new(host.clone())
+                .with_class("computer")
+                .with("system", systems[(h + o) % 4])
+                .with("cpucount", 1i64 << ((h * 3 + o) % 7));
+            if (h + o) % 20 < 3 {
+                e.add("gpucount", (1 + h % 4) as i64);
+            }
+            batch.push(e);
+            batch.push(
+                Entry::new(host.child(Rdn::new("perf", "load")))
+                    .with_class("loadaverage")
+                    .with(
+                        "load5",
+                        format!("{:.2}", ((h * 37 + o * 11) % 400) as f64 / 100.0),
+                    ),
+            );
+        }
+    }
+    Dit::bulk_load(batch)
+}
+
+/// Org-scoped searches over the harvest-shaped tree, through the
+/// shared-handle path the GIIS answers from: an ordered numeric range,
+/// a substring with no initial part and a presence test.
+fn bench_harvest(c: &mut Criterion) {
+    let dit = build_harvest_dit();
+    let mut g = c.benchmark_group("dit_harvest");
+    g.sample_size(40).measurement_time(Duration::from_secs(2));
+    let org = Dn::parse("o=O7").unwrap();
+    for (name, filter) in [
+        ("subtree_org_ge", "(cpucount>=32)"),
+        ("subtree_org_substring", "(system=*ux*)"),
+        ("subtree_org_presence", "(gpucount=*)"),
+    ] {
+        let filter = Filter::parse(filter).unwrap();
+        assert!(!dit
+            .search_shared(&org, Scope::Sub, &filter, &[], 0)
+            .is_empty());
+        g.bench_function(name, |b| {
+            b.iter(|| dit.search_shared(black_box(&org), Scope::Sub, &filter, &[], 0))
+        });
+    }
+    g.finish();
 }
 
 /// 5-level DIT: 5 orgs x 5 ous x 20 hosts x 10 services x 1 sensor

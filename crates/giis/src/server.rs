@@ -22,7 +22,7 @@
 //! hangs when children are partitioned away (Figures 1 and 4).
 
 use crate::bloom::{attr_token, BloomFilter};
-use gis_gsi::{PolicyMap, Requester, SecurityPolicy, ServiceConfig};
+use gis_gsi::{PolicyMap, Requester, SecurityPolicy, ServiceConfig, Visibility};
 use gis_ldap::{Dit, Dn, Entry, Filter, LdapUrl, Rdn, Scope, SharedDit, SnapshotLineage, Wire};
 use gis_netsim::{SimDuration, SimTime};
 use gis_proto::{
@@ -524,22 +524,38 @@ struct CachedResult {
 /// Search a harvested-cache snapshot: scope/filter against the tree, then
 /// redact, filter and project per requester. Shared by the engine's own
 /// local answering and by [`GiisQueryPath`] workers.
+///
+/// An entry the requester sees in full is projected straight from the
+/// tree's shared handle: the tree already matched that exact entry. When
+/// the whole scope is visible in full, the tree also applies the size
+/// limit. Other entries are redacted and re-checked against the filter,
+/// which may no longer match what the requester is allowed to see.
 fn snapshot_answer(
     snapshot: &gis_ldap::Dit,
     policy: &PolicyMap,
     spec: &SearchSpec,
     requester: &Requester,
 ) -> Vec<Entry> {
-    let raw = snapshot.search_shared(&spec.base, spec.scope, &spec.filter, &[], 0);
+    let all_full = policy.full_under(&spec.base, requester);
+    let tree_limit = if all_full {
+        spec.size_limit as usize
+    } else {
+        0
+    };
+    let raw = snapshot.search_shared(&spec.base, spec.scope, &spec.filter, &[], tree_limit);
     let mut out = Vec::new();
     for e in raw {
-        let Some(redacted) = policy.redact(&e, requester) else {
-            continue;
-        };
-        if !spec.filter.matches(&redacted) {
-            continue;
+        if all_full || policy.acl_for(e.dn()).visibility(requester) == Visibility::Full {
+            out.push(e.project(&spec.attrs));
+        } else {
+            let Some(redacted) = policy.redact(&e, requester) else {
+                continue;
+            };
+            if !spec.filter.matches(&redacted) {
+                continue;
+            }
+            out.push(redacted.project(&spec.attrs));
         }
-        out.push(redacted.project(&spec.attrs));
         if spec.size_limit != 0 && out.len() >= spec.size_limit as usize {
             break;
         }
@@ -835,8 +851,9 @@ impl Giis {
     /// attribution and agent targets from `storage`, and journal every
     /// subsequent mutation there.
     ///
-    /// Must be called before [`Giis::query_path`] — recovery replaces
-    /// the shared cache the query handles capture. Recovery never fails:
+    /// The recovered tree is published into the existing shared cache,
+    /// so [`Giis::query_path`] handles taken earlier answer from it.
+    /// Recovery never fails:
     /// damaged or missing state degrades toward empty, with one warning
     /// per degradation in the returned report (also surfaced as the
     /// `persist-warnings` gauge).
@@ -847,7 +864,9 @@ impl Giis {
         now: SimTime,
     ) -> RecoveryReport {
         let (journal, state, report) = Journal::open(storage, opts, now);
-        self.cache = Arc::new(SharedDit::from_dit(state.dit));
+        // Replace the tree inside the shared cache rather than the cache
+        // itself, so query paths taken earlier see the recovered state.
+        self.cache.replace(state.dit);
         self.registry = state.registry;
         self.children.clear();
         for (key, g) in state.groups {
@@ -4015,5 +4034,132 @@ mod tests {
         let giis = harvest_giis_with(storage, t(100));
         assert_eq!(giis.active_children(t(100)).len(), 0);
         assert_eq!(giis.cached_entries(), 0);
+    }
+
+    #[test]
+    fn set_persistence_feeds_query_paths_taken_before_it() {
+        let storage: Arc<dyn gis_store::Storage> = Arc::new(gis_store::MemStorage::new());
+        let mut giis = harvest_giis_with(storage.clone(), t(0));
+        let actions = giis.handle_grrp(reg("gris.a", "hn=a", t(0)), t(0));
+        let [GiisAction::SendRequest { request, .. }] = &actions[..] else {
+            panic!("expected harvest, got {actions:?}");
+        };
+        giis.handle_reply(
+            &url("gris.a"),
+            GripReply::SearchResult {
+                id: request.id(),
+                code: ResultCode::Success,
+                entries: vec![Entry::at("hn=a").unwrap().with_class("computer")],
+                referrals: vec![],
+            },
+            t(0),
+        );
+        drop(giis);
+
+        let mut config = GiisConfig::chaining(url("giis.h"), Dn::root());
+        config.mode = GiisMode::Harvest { refresh: secs(60) };
+        let mut giis = Giis::new(config, secs(30), secs(90));
+        let path = giis.query_path();
+        giis.set_persistence(storage, JournalOptions::default(), t(10));
+        let spec = SearchSpec::subtree(Dn::root(), Filter::parse("(hn=a)").unwrap());
+        let actions = path
+            .handle_query(1, GripRequest::Search { id: 7, spec }, t(10))
+            .expect("harvest mode answers on the query path");
+        let [GiisAction::Reply {
+            reply: GripReply::SearchResult { entries, .. },
+            ..
+        }] = &actions[..]
+        else {
+            panic!("expected one reply, got {actions:?}");
+        };
+        assert_eq!(
+            entries.len(),
+            1,
+            "recovered entry visible to the earlier path"
+        );
+    }
+
+    /// Reference answer: search the whole scope, then redact, re-filter,
+    /// project and truncate every entry.
+    fn redact_everything(
+        dit: &Dit,
+        policy: &PolicyMap,
+        spec: &SearchSpec,
+        requester: &Requester,
+    ) -> Vec<Entry> {
+        let mut out = Vec::new();
+        for e in dit.search_shared(&spec.base, spec.scope, &spec.filter, &[], 0) {
+            let Some(redacted) = policy.redact(&e, requester) else {
+                continue;
+            };
+            if spec.filter.matches(&redacted) {
+                out.push(redacted.project(&spec.attrs));
+            }
+        }
+        if spec.size_limit != 0 {
+            out.truncate(spec.size_limit as usize);
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_answer_matches_redacting_every_entry() {
+        use gis_gsi::{Acl, Grant, Principal};
+        let mut entries = Vec::new();
+        for org in ["O1", "O2"] {
+            for h in 0..6 {
+                entries.push(
+                    Entry::at(&format!("hn=h{h}, o={org}"))
+                        .unwrap()
+                        .with_class("computer")
+                        .with("system", if h % 2 == 0 { "linux" } else { "irix" })
+                        .with("cpucount", h as i64),
+                );
+            }
+        }
+        let dit = Dit::bulk_load(entries);
+        let mut policy = PolicyMap::open();
+        // Inside o=O1, anonymous requesters see only `hn` and `cpucount`;
+        // /CN=admin sees everything.
+        policy.set(
+            Dn::parse("o=O1").unwrap(),
+            Acl::default()
+                .with_rule(
+                    Principal::Anonymous,
+                    Grant::Attrs(vec!["hn".into(), "cpucount".into()]),
+                )
+                .with_rule(Principal::Subject("/CN=admin".into()), Grant::All),
+        );
+        let anon = Requester::anonymous();
+        let admin = Requester::subject("/CN=admin");
+        for base in ["", "o=O1", "o=O2"] {
+            for filter in ["(system=linux)", "(cpucount>=2)", "(objectclass=*)"] {
+                for (attrs, size_limit) in [(vec![], 0), (vec!["hn".to_owned()], 2)] {
+                    let spec = SearchSpec {
+                        attrs,
+                        size_limit,
+                        ..SearchSpec::subtree(
+                            Dn::parse(base).unwrap(),
+                            Filter::parse(filter).unwrap(),
+                        )
+                    };
+                    for requester in [&anon, &admin] {
+                        assert_eq!(
+                            snapshot_answer(&dit, &policy, &spec, requester),
+                            redact_everything(&dit, &policy, &spec, requester),
+                            "{spec:?} for {requester:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The redacted requester really is redacted: `system` is hidden in
+        // o=O1, so an equality on it matches nothing there.
+        let spec = SearchSpec::subtree(
+            Dn::parse("o=O1").unwrap(),
+            Filter::parse("(system=linux)").unwrap(),
+        );
+        assert!(snapshot_answer(&dit, &policy, &spec, &anon).is_empty());
+        assert_eq!(snapshot_answer(&dit, &policy, &spec, &admin).len(), 3);
     }
 }

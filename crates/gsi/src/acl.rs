@@ -246,6 +246,18 @@ impl PolicyMap {
     pub fn redact(&self, entry: &Entry, req: &Requester) -> Option<Entry> {
         self.acl_for(entry.dn()).redact(entry, req)
     }
+
+    /// True when `req` sees every entry at or below `base` in full: the
+    /// ACL governing `base` and every rule rooted inside its subtree grant
+    /// [`Visibility::Full`], so redaction would change nothing there.
+    pub fn full_under(&self, base: &Dn, req: &Requester) -> bool {
+        let full = |acl: &Acl| acl.visibility(req) == Visibility::Full;
+        full(self.acl_for(base))
+            && self
+                .rules
+                .iter()
+                .all(|(root, acl)| !root.is_under(base) || full(acl))
+    }
 }
 
 /// A capability: a signed assertion that `holder` belongs to `group`,
@@ -468,6 +480,21 @@ mod tests {
         // Outside o=O1, the default (open) applies.
         let outside = Entry::at("hn=hostZ, o=O2").unwrap().with("x", "1");
         assert!(map.redact(&outside, &anon).unwrap().has("x"));
+    }
+
+    #[test]
+    fn full_under_sees_rules_inside_the_subtree() {
+        let mut map = PolicyMap::open();
+        map.set(Dn::parse("hn=hostX, o=O1").unwrap(), Acl::existence_only());
+        let anon = Requester::anonymous();
+        assert!(map.full_under(&Dn::parse("o=O2").unwrap(), &anon));
+        assert!(!map.full_under(&Dn::parse("o=O1").unwrap(), &anon));
+        assert!(!map.full_under(&Dn::root(), &anon));
+        assert!(!map.full_under(&Dn::parse("perf=load, hn=hostX, o=O1").unwrap(), &anon));
+        map.set(Dn::parse("o=O1").unwrap(), Acl::authenticated_only());
+        assert!(!map.full_under(&Dn::parse("hn=hostY, o=O1").unwrap(), &anon));
+        let user = Requester::subject("/CN=user");
+        assert!(map.full_under(&Dn::parse("hn=hostY, o=O1").unwrap(), &user));
     }
 
     #[test]

@@ -5,37 +5,56 @@
 //! base DN, a scope (base / one-level / subtree), a filter, and an optional
 //! attribute selection (§4.1).
 //!
-//! # Index structures
+//! # Layout
 //!
-//! The store maintains three indexes beside the primary entry map so the
-//! query hot path never scans entries outside the requested scope:
+//! Every stored entry occupies a dense `u32` slot id. The primary map
+//! (`by_key`) takes the DN's rendered key to its id; every other index
+//! holds ids, so a search narrows its candidates before it touches any
+//! entry:
 //!
-//! * a **parent index** (`children`): parent DN key → set of child DN keys.
-//!   [`Scope::One`] becomes a single map lookup instead of testing every
-//!   entry's parent.
-//! * a **suffix-major order** (`suffix_index`): the DN's RDNs rendered
-//!   root-first and joined with `\x00` sort every subtree into one
-//!   contiguous key range, so [`Scope::Sub`] on a non-root base is a range
-//!   scan over exactly the subtree (`O(log n + m)` for `m` descendants).
-//! * an **equality attribute index** (`attr_index`): attribute → normalized
-//!   value → DN keys, over a configurable set of indexed attributes.
-//!   `objectclass` is always indexed; naming (RDN) attributes are indexed
-//!   automatically on first use. `Eq` filter terms over indexed attributes
-//!   — including terms nested under `And`/`Or` — are answered from the
-//!   index, with candidate-set intersection for `And` and union for `Or`.
+//! * a **parent index** (`children`): parent DN key → sorted ids of its
+//!   immediate children. [`Scope::One`] is a single map lookup.
+//! * a **suffix-major index** (`suffix`): the DN's RDNs rendered
+//!   root-first and joined with `\x00` → id. Every subtree is one
+//!   contiguous key range, so the ids in a [`Scope::Sub`] scope are
+//!   collected in `O(log n + m)` without dereferencing an entry.
+//! * an **attribute index** (`attrs`) over *every* attribute of every
+//!   entry: a value dictionary (normalized value → sorted ids), ordered
+//!   numeric postings (the `f64` that ordering filters compare → sorted
+//!   ids) and a presence posting (ids carrying the attribute at all).
+//!   There is no index set to configure.
 //!
-//! Search results are always produced in primary-key (DN string) order, so
+//! # Search
+//!
+//! A search collects its scope's ids, then plans the filter against the
+//! attribute index: equality reads one posting, `>=`/`<=` the union over
+//! an ordered range of numeric postings and of the dictionary, a
+//! substring with an initial part a prefix range of the dictionary, one
+//! without an initial part a walk of the dictionary, and presence the
+//! presence posting. `And` intersects its cheap conjuncts, `Or` unions
+//! its branches (only when every branch is indexable). The plan is taken
+//! only when the index's own sizes — posting lengths, dictionary keys
+//! walked, scope size — show it cheaper than scanning the scope;
+//! otherwise the scope is scanned. Either way only the surviving ids are
+//! dereferenced, and each is re-checked with the full filter.
+//!
+//! Results are always produced in primary-key (DN string) order, so
 //! index-served and scan-served queries return identical output and a
-//! size-limited result is a prefix of the unlimited one.
+//! size-limited result is a prefix of the unlimited one: the surviving
+//! ids are sorted by a key-order rank of the ids, built once per tree
+//! version by the first search that needs it (a bulk load assigns ids in
+//! key order, so its rank is the identity).
 
 use crate::dn::Dn;
-use crate::entry::Entry;
+use crate::entry::{AttrValue, Entry};
 use crate::error::{LdapError, Result};
-use crate::filter::Filter;
+use crate::filter::{as_number, substring_match, Filter};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
+use std::sync::{Arc, OnceLock};
 
 /// LDAP search scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -48,34 +67,200 @@ pub enum Scope {
     Sub,
 }
 
+/// Cost of dereferencing and filtering one entry, in units of touching
+/// one id of a posting list: an entry test chases the entry's handle,
+/// its attribute map and its value strings, where a posting step reads
+/// the next `u32` of a contiguous vector.
+const DEREF_COST: usize = 16;
+
+/// Sorted ids of the entries carrying one value.
+type Posting = Vec<u32>;
+
+/// A numeric attribute value, ordered as the filter evaluator compares
+/// numbers: `-0` equals `0`, and every NaN is one key that sorts above
+/// `+inf` (a NaN compares equal to everything, so it satisfies both `>=`
+/// and `<=`; the planner adds it to `<=` ranges explicitly).
+#[derive(Debug, Clone, Copy)]
+struct Num(f64);
+
+impl Num {
+    fn new(x: f64) -> Num {
+        Num(if x.is_nan() { f64::NAN } else { x + 0.0 })
+    }
+}
+
+impl PartialEq for Num {
+    fn eq(&self, other: &Num) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Num {}
+
+impl PartialOrd for Num {
+    fn partial_cmp(&self, other: &Num) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Num {
+    fn cmp(&self, other: &Num) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// The index of one attribute.
+#[derive(Debug, Clone, Default)]
+struct AttrIndex {
+    /// Ids of the entries carrying the attribute (presence).
+    present: Posting,
+    /// Normalized value → ids (equality, substring, lexicographic order).
+    values: BTreeMap<String, Posting>,
+    /// Numeric values by the number they denote → ids.
+    numbers: BTreeMap<Num, Posting>,
+    /// How many keys of `values` are not numeric. Ordering filters with a
+    /// numeric bound compare those keys lexicographically; when there are
+    /// none the dictionary walk is skipped.
+    text: usize,
+}
+
+/// Add `id` to a sorted posting (a no-op if present). Bulk builds and
+/// fresh slots append, so the common case is a push.
+fn post(p: &mut Posting, id: u32) {
+    match p.last() {
+        Some(&last) if last >= id => {
+            if let Err(i) = p.binary_search(&id) {
+                p.insert(i, id);
+            }
+        }
+        _ => p.push(id),
+    }
+}
+
+/// Remove `id` from a sorted posting; true when the posting is now empty.
+fn unpost(p: &mut Posting, id: u32) -> bool {
+    if let Ok(i) = p.binary_search(&id) {
+        p.remove(i);
+    }
+    p.is_empty()
+}
+
+impl AttrIndex {
+    fn add_value(&mut self, id: u32, nv: Cow<'_, str>) {
+        match self.values.get_mut(nv.as_ref()) {
+            Some(p) => post(p, id),
+            None => {
+                self.text += usize::from(as_number(&nv).is_none());
+                self.values.insert(nv.into_owned(), vec![id]);
+            }
+        }
+    }
+
+    fn drop_value(&mut self, id: u32, nv: &str) {
+        if self.values.get_mut(nv).is_some_and(|p| unpost(p, id)) {
+            self.values.remove(nv);
+            self.text -= usize::from(as_number(nv).is_none());
+        }
+    }
+
+    fn add_number(&mut self, id: u32, x: Num) {
+        post(self.numbers.entry(x).or_default(), id);
+    }
+
+    fn drop_number(&mut self, id: u32, x: Num) {
+        if self.numbers.get_mut(&x).is_some_and(|p| unpost(p, id)) {
+            self.numbers.remove(&x);
+        }
+    }
+
+    fn insert(&mut self, id: u32, vals: &[AttrValue]) {
+        post(&mut self.present, id);
+        for v in vals {
+            let nv = norm_value(v.as_str());
+            if let Some(x) = as_number(&nv) {
+                self.add_number(id, Num::new(x));
+            }
+            self.add_value(id, nv);
+        }
+    }
+
+    fn remove(&mut self, id: u32, vals: &[AttrValue]) {
+        unpost(&mut self.present, id);
+        for v in vals {
+            let nv = norm_value(v.as_str());
+            if let Some(x) = as_number(&nv) {
+                self.drop_number(id, Num::new(x));
+            }
+            self.drop_value(id, &nv);
+        }
+    }
+
+    /// Move entry `id` from values `old` to values `new` (both non-empty):
+    /// only the postings of values that differ change, and the presence
+    /// posting not at all.
+    fn replace(&mut self, id: u32, old: &[AttrValue], new: &[AttrValue]) {
+        let norms = |vals: &'_ [AttrValue]| -> BTreeSet<String> {
+            vals.iter()
+                .map(|v| norm_value(v.as_str()).into_owned())
+                .collect()
+        };
+        let nums = |vals: &BTreeSet<String>| -> BTreeSet<Num> {
+            vals.iter()
+                .filter_map(|v| as_number(v))
+                .map(Num::new)
+                .collect()
+        };
+        let (o, n) = (norms(old), norms(new));
+        let (ox, nx) = (nums(&o), nums(&n));
+        for x in ox.difference(&nx) {
+            self.drop_number(id, *x);
+        }
+        for x in nx.difference(&ox) {
+            self.add_number(id, *x);
+        }
+        for v in o.difference(&n) {
+            self.drop_value(id, v);
+        }
+        for v in n.difference(&o) {
+            self.add_value(id, Cow::Borrowed(v));
+        }
+    }
+}
+
+/// One stored entry and its primary key.
+#[derive(Debug, Clone)]
+struct Slot {
+    key: Arc<str>,
+    entry: Arc<Entry>,
+}
+
 /// An in-memory DIT. Entries are keyed by DN; hierarchy is implicit in the
 /// DN structure, so interior "glue" nodes need not exist for descendants to
 /// be stored (providers generate subtrees lazily and sparsely).
 ///
-/// See the [module docs](self) for the index structures maintained beside
-/// the primary map and the complexity they buy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// See the [module docs](self) for the id layout and how searches use it.
+#[derive(Debug, Clone)]
 pub struct Dit {
-    /// Key: DN rendered in normalized form. BTreeMap gives deterministic
-    /// iteration order for reproducible experiment output. Entries are
-    /// reference-counted so searches without an attribute selection can
-    /// return them without deep-copying.
-    entries: BTreeMap<String, Arc<Entry>>,
-    /// Parent DN key → keys of its immediate children.
-    children: BTreeMap<String, BTreeSet<String>>,
-    /// Suffix-major (root-first) rendering of each DN → its primary key.
-    /// Every subtree occupies one contiguous range of this map.
-    suffix_index: BTreeMap<String, String>,
-    /// Indexed attribute → normalized value → keys of entries carrying it.
-    attr_index: BTreeMap<String, BTreeMap<String, BTreeSet<String>>>,
-    /// Attributes covered by `attr_index`. Always contains `objectclass`;
-    /// naming attributes are added (with a one-time backfill) on insert.
-    indexed_attrs: BTreeSet<String>,
+    /// Slot id → entry; `None` marks a free slot (listed in `free`).
+    slots: Vec<Option<Slot>>,
+    free: Vec<u32>,
+    /// Primary key (normalized DN rendering) → id. Its order is the
+    /// output order of every search and iteration.
+    by_key: BTreeMap<Arc<str>, u32>,
+    /// Parent DN key → sorted ids of its immediate children.
+    children: BTreeMap<String, Posting>,
+    /// Suffix-major (root-first) rendering of each DN → id.
+    suffix: BTreeMap<String, u32>,
+    /// Attribute name → its index.
+    attrs: BTreeMap<String, AttrIndex>,
+    /// Id → position in key order, built by the first search that needs
+    /// it; reset whenever a new key arrives.
+    rank: OnceLock<Box<[u32]>>,
 }
 
 fn key(dn: &Dn) -> String {
     // Matches `Dn`'s `Display` exactly, built with direct pushes — this
-    // renders on every insert, remove and bulk build.
+    // renders on every insert, remove and lookup.
     let rdns = dn.rdns();
     let cap = rdns
         .iter()
@@ -107,33 +292,13 @@ fn parent_of(k: &str) -> Option<&str> {
     }
 }
 
-/// Suffix-major rendering: RDNs root-first, joined with `\x00`. Because
-/// `\x00` sorts below every character that can appear in an RDN, the keys
-/// of a subtree rooted at `d` are exactly those in `[rev_key(d),
-/// rev_key(d) + "\x01")`.
-fn rev_key(dn: &Dn) -> String {
-    let rdns = dn.rdns();
-    let cap = rdns
-        .iter()
-        .map(|r| r.attr().len() + r.value().len() + 2)
-        .sum();
-    let mut out = String::with_capacity(cap);
-    for (i, rdn) in rdns.iter().rev().enumerate() {
-        if i > 0 {
-            out.push('\u{0}');
-        }
-        out.push_str(rdn.attr());
-        out.push('=');
-        out.push_str(rdn.value());
-    }
-    out
-}
-
-/// [`rev_key`] derived from an already-rendered primary key by reversing
-/// its `", "`-separated components (same embedded-separator caveat as
-/// [`parent_of`]), skipping the per-RDN re-render on the bulk-build and
-/// mutation hot paths.
-fn rev_key_of(k: &str) -> String {
+/// Suffix-major rendering of an already-rendered primary key: its
+/// `", "`-separated RDNs reversed and joined with `\x00` (same
+/// embedded-separator caveat as [`parent_of`]). Because `\x00` sorts
+/// below every character that can appear in an RDN, the keys of a
+/// subtree rooted at `d` are exactly those in `[rev_key(d), rev_key(d) +
+/// "\x01")`.
+fn rev_key(k: &str) -> String {
     let mut out = String::with_capacity(k.len());
     for (i, rdn) in k.rsplit(", ").enumerate() {
         if i > 0 {
@@ -146,97 +311,269 @@ fn rev_key_of(k: &str) -> String {
 
 /// Index value normalisation must mirror the filter evaluator's equality
 /// semantics (trimmed, case-insensitive), or the index could produce
-/// false negatives.
-fn norm_value(value: &str) -> String {
-    value.trim().to_ascii_lowercase()
-}
-
-/// [`norm_value`] without the allocation when the value is already
-/// normalized — the common case for machine-generated directory content
-/// (hostnames, object classes, stringified numbers), and the bulk
+/// false negatives. Borrows when the value is already normalized — the
+/// common case for machine-generated directory content, and the index
 /// builders touch every value of every entry.
-fn norm_value_cow(value: &str) -> Cow<'_, str> {
+fn norm_value(value: &str) -> Cow<'_, str> {
     let t = value.trim();
-    if t.len() == value.len() && !t.bytes().any(|b| b.is_ascii_uppercase()) {
+    if !t.bytes().any(|b| b.is_ascii_uppercase()) {
         Cow::Borrowed(t)
     } else {
         Cow::Owned(t.to_ascii_lowercase())
     }
 }
 
-/// Bulk-build the suffix index for [`Dit::bulk_load`]. `FromIterator`
-/// sorts and packs B-tree nodes directly, so there is no per-entry
-/// tree descent.
-fn build_suffix(keyed: &[(String, Arc<Entry>)]) -> BTreeMap<String, String> {
-    keyed
-        .iter()
-        .map(|(k, _)| (rev_key_of(k), k.clone()))
-        .collect()
-}
-
-/// Bulk-build the parent index for [`Dit::bulk_load`]: sort
-/// (parent, child) pairs once, then turn each run of equal parents into
-/// a child set built from an already-sorted sequence.
-fn build_children(keyed: &[(String, Arc<Entry>)]) -> BTreeMap<String, BTreeSet<String>> {
-    let mut pairs: Vec<(&str, &str)> = keyed
-        .iter()
-        .filter_map(|(k, _)| parent_of(k).map(|p| (p, k.as_str())))
-        .collect();
-    // Keys are unique, so equal pairs cannot exist and an unstable sort
-    // (no merge buffer) is safe.
-    pairs.sort_unstable();
-    let mut groups: Vec<(String, BTreeSet<String>)> = Vec::new();
-    let mut i = 0;
-    while i < pairs.len() {
-        let start = i;
-        while i < pairs.len() && pairs[i].0 == pairs[start].0 {
-            i += 1;
-        }
-        let kids: BTreeSet<String> = pairs[start..i].iter().map(|p| p.1.to_owned()).collect();
-        groups.push((pairs[start].0.to_owned(), kids));
+/// Attribute names are stored lowercase; the evaluator folds the
+/// filter's spelling (and does not trim it).
+fn norm_attr(attr: &str) -> Cow<'_, str> {
+    if attr.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(attr.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(attr)
     }
-    groups.into_iter().collect()
 }
 
-/// Bulk-build the equality attribute index for [`Dit::bulk_load`]: one
-/// flat sort of (attr, value, key) triples, then nested grouping. Equal
-/// triples (an entry carrying two values that normalize identically)
-/// collapse in the set build, matching the incremental path.
-fn build_attr_index(
-    keyed: &[(String, Arc<Entry>)],
-    indexed: &BTreeSet<String>,
-) -> BTreeMap<String, BTreeMap<String, BTreeSet<String>>> {
-    // One pass per indexed attribute (the set is small) so the sort only
-    // ever compares values, never attribute names.
-    indexed
-        .iter()
-        .filter_map(|a| {
-            let mut pairs: Vec<(Cow<'_, str>, &str)> = Vec::new();
-            for (k, e) in keyed {
-                for v in e.get(a) {
-                    pairs.push((norm_value_cow(v.as_str()), k.as_str()));
-                }
+/// True if `s` starts or ends with whitespace. The dictionary holds
+/// trimmed values, so a substring fragment with whitespace at an edge
+/// could match a stored value whose trimmed form it does not match.
+fn edge_space(s: &str) -> bool {
+    s.starts_with(char::is_whitespace) || s.ends_with(char::is_whitespace)
+}
+
+/// A bitset over slot ids.
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn of(slots: usize, ids: impl IntoIterator<Item = u32>) -> Bits {
+        let mut bits = Bits(vec![0; slots.div_ceil(64)]);
+        for id in ids {
+            bits.0[id as usize / 64] |= 1 << (id % 64);
+        }
+        bits
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        self.0[id as usize / 64] >> (id % 64) & 1 == 1
+    }
+
+    fn into_ids(self) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (w, mut word) in self.0.into_iter().enumerate() {
+            while word != 0 {
+                out.push((w * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
             }
-            if pairs.is_empty() {
-                return None;
+        }
+        out
+    }
+}
+
+/// Sort and deduplicate ids. A bitset pass costs a word per 64 slots
+/// however few the ids are, a comparison sort `k log k` for `k` ids, so
+/// the bitset is taken when there are at least as many ids as it has
+/// words.
+fn sorted(mut ids: Vec<u32>, slots: usize) -> Vec<u32> {
+    if ids.len() >= slots / 64 {
+        Bits::of(slots, ids).into_ids()
+    } else {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+}
+
+/// Intersection of two sorted id lists, by merging them (the planner
+/// charges both lists' lengths for it).
+fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
             }
-            // `keyed` is in key order, so the stable sort leaves each
-            // value group's keys pre-sorted for the set build.
-            pairs.sort_by(|x, y| x.0.cmp(&y.0));
-            let mut val_groups: Vec<(String, BTreeSet<String>)> = Vec::new();
-            let mut i = 0;
-            while i < pairs.len() {
-                let start = i;
-                while i < pairs.len() && pairs[i].0 == pairs[start].0 {
-                    i += 1;
-                }
-                let keys: BTreeSet<String> =
-                    pairs[start..i].iter().map(|p| p.1.to_owned()).collect();
-                val_groups.push((pairs[start].0.to_string(), keys));
+        }
+    }
+    out
+}
+
+/// True when the host has a second core for the bulk builders.
+fn parallel() -> bool {
+    std::thread::available_parallelism().map_or(1, usize::from) > 1
+}
+
+/// `items.into_iter().map(f).collect()`, the two halves on two threads
+/// when the host has a second core.
+fn map_halves<T: Send, U: Send>(mut items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
+    if !parallel() {
+        return items.into_iter().map(f).collect();
+    }
+    let hi = items.split_off(items.len() / 2);
+    std::thread::scope(|s| {
+        let hi = s.spawn(|| hi.into_iter().map(&f).collect::<Vec<_>>());
+        let mut out: Vec<U> = items.into_iter().map(&f).collect();
+        out.extend(hi.join().expect("bulk key builder panicked"));
+        out
+    })
+}
+
+/// One attribute's values during a bulk build: its name, the ids
+/// carrying it, and a (normalized value, id) pair per value.
+type Gathered<'a> = (&'a str, Posting, Vec<(Val<'a>, u32)>);
+
+/// A normalized value during a bulk build. It orders as its text does,
+/// but compares its first eight bytes packed into an integer first, so
+/// sorting reads the text only when two heads tie and one of them is
+/// longer than eight bytes (the entries' value strings are scattered
+/// over the heap, and most directory values are short).
+struct Val<'a> {
+    head: u64,
+    text: Cow<'a, str>,
+}
+
+impl<'a> Val<'a> {
+    fn new(text: Cow<'a, str>) -> Val<'a> {
+        let mut head = [0; 8];
+        let n = text.len().min(8);
+        head[..n].copy_from_slice(&text.as_bytes()[..n]);
+        Val {
+            head: u64::from_be_bytes(head),
+            text,
+        }
+    }
+}
+
+impl Ord for Val<'_> {
+    fn cmp(&self, other: &Val<'_>) -> Ordering {
+        self.head.cmp(&other.head).then_with(|| {
+            let (a, b) = (self.text.len(), other.text.len());
+            if a <= 8 && b <= 8 {
+                // Equal heads: the shorter text is a prefix of the other.
+                a.cmp(&b)
+            } else {
+                self.text.cmp(&other.text)
             }
-            Some((a.clone(), val_groups.into_iter().collect()))
         })
-        .collect()
+    }
+}
+
+impl PartialOrd for Val<'_> {
+    fn partial_cmp(&self, other: &Val<'_>) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Val<'_> {
+    fn eq(&self, other: &Val<'_>) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Val<'_> {}
+
+/// Gather the attribute values of `slots`, whose ids are their
+/// positions, by attribute name.
+fn gather_attrs(slots: &[Slot]) -> Vec<Gathered<'_>> {
+    let mut by_attr: BTreeMap<&str, Gathered<'_>> = BTreeMap::new();
+    for (s, id) in slots.iter().zip(0..) {
+        for (attr, vals) in s.entry.attrs() {
+            if vals.is_empty() {
+                continue;
+            }
+            let (_, present, values) = by_attr
+                .entry(attr)
+                .or_insert_with(|| (attr, Vec::new(), Vec::new()));
+            present.push(id);
+            values.extend(vals.iter().map(|v| (Val::new(norm_value(v.as_str())), id)));
+        }
+    }
+    by_attr.into_values().collect()
+}
+
+/// Build one attribute's index from its gathered values. The pairs are
+/// sorted once: each run of equal values is then one posting, already
+/// sorted because ties order by id, and the runs arrive in dictionary
+/// order.
+fn index_attr((attr, present, mut values): Gathered<'_>) -> (String, AttrIndex) {
+    // Two values of one entry may normalize alike.
+    values.sort_unstable();
+    values.dedup();
+    let mut ix = AttrIndex {
+        present,
+        ..AttrIndex::default()
+    };
+    let mut dictionary = Vec::new();
+    let mut numbers = Vec::new();
+    for run in values.chunk_by(|a, b| a.0 == b.0) {
+        let posting: Posting = run.iter().map(|&(_, id)| id).collect();
+        let text = &run[0].0.text;
+        match as_number(text) {
+            Some(x) => numbers.push((Num::new(x), posting.clone())),
+            None => ix.text += 1,
+        }
+        dictionary.push((text.to_string(), posting));
+    }
+    ix.values = dictionary.into_iter().collect();
+    // Distinct spellings of one number ("1", "1.0") share a key.
+    numbers.sort_unstable_by_key(|&(x, _)| x);
+    ix.numbers = numbers
+        .chunk_by_mut(|a, b| a.0 == b.0)
+        .map(|run| match run {
+            [(x, one)] => (*x, std::mem::take(one)),
+            _ => {
+                let mut ids: Posting = run.iter().flat_map(|(_, p)| p).copied().collect();
+                ids.sort_unstable();
+                ids.dedup();
+                (run[0].0, ids)
+            }
+        })
+        .collect();
+    (attr.to_owned(), ix)
+}
+
+/// Candidate ids for a filter, as postings still to be combined. Every
+/// plan yields a superset of the filter's matches.
+enum Plan<'a> {
+    /// The union of these postings, found by examining `walked`
+    /// dictionary keys.
+    Any {
+        postings: Vec<&'a [u32]>,
+        walked: usize,
+    },
+    /// The intersection of these plans.
+    All(Vec<Plan<'a>>),
+    /// The union of these plans.
+    Or(Vec<Plan<'a>>),
+}
+
+impl Plan<'_> {
+    const EMPTY: Plan<'static> = Plan::Any {
+        postings: Vec::new(),
+        walked: 0,
+    };
+
+    /// Posting ids and dictionary keys touched to materialize the plan.
+    fn cost(&self) -> usize {
+        match self {
+            Plan::Any { postings, walked } => {
+                walked + postings.iter().map(|p| p.len()).sum::<usize>()
+            }
+            Plan::All(ps) | Plan::Or(ps) => ps.iter().map(Plan::cost).sum(),
+        }
+    }
+
+    /// Upper bound on the number of candidates.
+    fn size(&self) -> usize {
+        match self {
+            Plan::Any { postings, .. } => postings.iter().map(|p| p.len()).sum(),
+            Plan::All(ps) => ps.iter().map(Plan::size).min().unwrap_or(0),
+            Plan::Or(ps) => ps.iter().map(Plan::size).sum(),
+        }
+    }
 }
 
 /// Append `entry` to `out` (shared when no selection, projected otherwise)
@@ -270,135 +607,145 @@ impl Default for Dit {
 impl Dit {
     /// An empty tree.
     pub fn new() -> Dit {
-        let mut dit = Dit {
-            entries: BTreeMap::new(),
+        Dit {
+            slots: Vec::new(),
+            free: Vec::new(),
+            by_key: BTreeMap::new(),
             children: BTreeMap::new(),
-            suffix_index: BTreeMap::new(),
-            attr_index: BTreeMap::new(),
-            indexed_attrs: BTreeSet::new(),
-        };
-        dit.indexed_attrs.insert("objectclass".to_owned());
-        dit
+            suffix: BTreeMap::new(),
+            attrs: BTreeMap::new(),
+            rank: OnceLock::new(),
+        }
     }
 
     /// Number of entries stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_key.len()
     }
 
     /// True if no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_key.is_empty()
     }
 
-    /// The attributes currently served by the equality index.
-    pub fn indexed_attrs(&self) -> impl Iterator<Item = &str> {
-        self.indexed_attrs.iter().map(String::as_str)
+    fn slot(&self, id: u32) -> &Slot {
+        self.slots[id as usize]
+            .as_ref()
+            .expect("indexes hold only live ids")
     }
 
-    /// Add `attr` to the set of indexed attributes, backfilling the index
-    /// over existing entries (one-time `O(n)`). `objectclass` and every
-    /// naming attribute seen at insert time are indexed automatically.
-    pub fn add_indexed_attr(&mut self, attr: &str) {
-        let a = attr.trim().to_ascii_lowercase();
-        if a.is_empty() || !self.indexed_attrs.insert(a.clone()) {
-            return;
-        }
-        let mut idx: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for (k, e) in &self.entries {
-            for v in e.get(&a) {
-                idx.entry(norm_value(v.as_str()))
-                    .or_default()
-                    .insert(k.clone());
-            }
-        }
-        if !idx.is_empty() {
-            self.attr_index.insert(a, idx);
-        }
-    }
-
-    fn ensure_naming_indexed(&mut self, entry: &Entry) {
-        if let Some(rdn) = entry.dn().rdn() {
-            if !self.indexed_attrs.contains(rdn.attr()) {
-                self.add_indexed_attr(rdn.attr());
-            }
-        }
-    }
-
-    fn index_insert(&mut self, k: &str, entry: &Entry) {
-        for a in &self.indexed_attrs {
-            let vals = entry.get(a);
+    fn index_attrs(&mut self, id: u32, entry: &Entry) {
+        for (attr, vals) in entry.attrs() {
             if vals.is_empty() {
                 continue;
             }
-            let idx = self.attr_index.entry(a.clone()).or_default();
-            for v in vals {
-                idx.entry(norm_value(v.as_str()))
-                    .or_default()
-                    .insert(k.to_owned());
-            }
+            let ix = match self.attrs.get_mut(attr) {
+                Some(ix) => ix,
+                None => self.attrs.entry(attr.to_owned()).or_default(),
+            };
+            ix.insert(id, vals);
         }
     }
 
-    fn index_remove(&mut self, k: &str, entry: &Entry) {
-        for a in &self.indexed_attrs {
-            let Some(idx) = self.attr_index.get_mut(a) else {
+    fn unindex_attrs(&mut self, id: u32, entry: &Entry) {
+        for (attr, vals) in entry.attrs() {
+            let Some(ix) = self.attrs.get_mut(attr) else {
                 continue;
             };
-            for v in entry.get(a) {
-                let nv = norm_value(v.as_str());
-                if let Some(set) = idx.get_mut(&nv) {
-                    set.remove(k);
-                    if set.is_empty() {
-                        idx.remove(&nv);
-                    }
-                }
-            }
-            if idx.is_empty() {
-                self.attr_index.remove(a);
+            ix.remove(id, vals);
+            if ix.present.is_empty() {
+                self.attrs.remove(attr);
             }
         }
     }
 
-    /// Remove the entry at `k` from the primary map and every index.
-    fn remove_key(&mut self, k: &str) -> Option<Arc<Entry>> {
-        let arc = self.entries.remove(k)?;
-        self.suffix_index.remove(&rev_key_of(k));
-        if let Some(pk) = parent_of(k) {
-            if let Some(set) = self.children.get_mut(pk) {
-                set.remove(k);
-                if set.is_empty() {
-                    self.children.remove(pk);
+    /// Re-index entry `id` whose content changed from `old` to `new`,
+    /// touching only the attributes whose values differ. A harvest
+    /// re-upserts mostly unchanged entries, so this is usually a compare
+    /// per attribute.
+    fn reindex_attrs(&mut self, id: u32, old: &Entry, new: &Entry) {
+        let mut names: Vec<&str> = old.attrs().chain(new.attrs()).map(|(a, _)| a).collect();
+        names.sort_unstable();
+        names.dedup();
+        for attr in names {
+            let (was, now) = (old.get(attr), new.get(attr));
+            if was == now {
+                continue;
+            }
+            if now.is_empty() {
+                let ix = self.attrs.get_mut(attr).expect("indexed attribute");
+                ix.remove(id, was);
+                if ix.present.is_empty() {
+                    self.attrs.remove(attr);
                 }
+            } else if was.is_empty() {
+                self.attrs
+                    .entry(attr.to_owned())
+                    .or_default()
+                    .insert(id, now);
+            } else {
+                let ix = self.attrs.get_mut(attr).expect("indexed attribute");
+                ix.replace(id, was, now);
             }
         }
-        self.index_remove(k, &arc);
-        Some(arc)
+    }
+
+    /// Remove the entry with id `id` from the slots and every index.
+    fn remove_id(&mut self, id: u32) -> Arc<Entry> {
+        let Slot { key: k, entry } = self.slots[id as usize]
+            .take()
+            .expect("indexes hold only live ids");
+        self.by_key.remove(&k);
+        self.suffix.remove(&rev_key(&k));
+        if let Some(pk) = parent_of(&k) {
+            if self.children.get_mut(pk).is_some_and(|p| unpost(p, id)) {
+                self.children.remove(pk);
+            }
+        }
+        self.unindex_attrs(id, &entry);
+        self.free.push(id);
+        entry
     }
 
     /// Install `entry` at `k` (which must equal `key(entry.dn())`),
     /// replacing any previous occupant, and wire up every index.
     fn insert_at(&mut self, k: String, entry: Entry) {
-        self.remove_key(&k);
-        self.ensure_naming_indexed(&entry);
-        self.suffix_index.insert(rev_key_of(&k), k.clone());
+        let entry = Arc::new(entry);
+        if let Some(&id) = self.by_key.get(k.as_str()) {
+            // Same key, same id: only the attribute postings change.
+            let slot = self.slots[id as usize]
+                .as_mut()
+                .expect("indexes hold only live ids");
+            let old = std::mem::replace(&mut slot.entry, Arc::clone(&entry));
+            self.reindex_attrs(id, &old, &entry);
+            return;
+        }
+        let id = self.free.pop().unwrap_or_else(|| {
+            let id = u32::try_from(self.slots.len()).expect("a DIT holds at most u32::MAX entries");
+            self.slots.push(None);
+            id
+        });
+        self.rank = OnceLock::new();
+        let k: Arc<str> = Arc::from(k);
+        self.suffix.insert(rev_key(&k), id);
         if let Some(pk) = parent_of(&k) {
-            if let Some(set) = self.children.get_mut(pk) {
-                set.insert(k.clone());
-            } else {
-                self.children
-                    .insert(pk.to_owned(), BTreeSet::from([k.clone()]));
+            match self.children.get_mut(pk) {
+                Some(p) => post(p, id),
+                None => {
+                    self.children.insert(pk.to_owned(), vec![id]);
+                }
             }
         }
-        self.index_insert(&k, &entry);
-        self.entries.insert(k, Arc::new(entry));
+        self.index_attrs(id, &entry);
+        self.by_key.insert(Arc::clone(&k), id);
+        self.slots[id as usize] = Some(Slot { key: k, entry });
     }
 
     /// Insert an entry, failing if one already exists at its DN.
     pub fn add(&mut self, mut entry: Entry) -> Result<()> {
         entry.normalize_naming_attr();
         let k = key(entry.dn());
-        if self.entries.contains_key(&k) {
+        if self.by_key.contains_key(k.as_str()) {
             return Err(LdapError::EntryExists(k));
         }
         self.insert_at(k, entry);
@@ -414,23 +761,19 @@ impl Dit {
 
     /// Build a tree from a batch of entries in one pass.
     ///
-    /// Produces exactly the state `upsert`ing each entry in order would
-    /// (later entries win on duplicate DNs), but assembles each index as
-    /// one sorted run handed to the B-tree bulk builder instead of paying
-    /// a tree descent and index fix-up per entry. Snapshot recovery feeds
-    /// this entries already in key order, so the sorts degenerate to
-    /// near-linear scans; when the host has more than one core the
-    /// independent indexes are built on separate threads.
+    /// Produces the same entries and search answers as `upsert`ing each
+    /// entry in order would (later entries win on duplicate DNs), but
+    /// assigns ids in key order and assembles each index from sorted runs
+    /// instead of paying a tree descent and index fix-up per entry. When
+    /// the host has more than one core, the entries are keyed in two
+    /// halves on two threads, the structural indexes are built beside the
+    /// attribute index, and the attribute index is finished in two halves
+    /// on two threads.
     pub fn bulk_load(batch: Vec<Entry>) -> Dit {
-        Dit::from_keyed(
-            batch
-                .into_iter()
-                .map(|mut e| {
-                    e.normalize_naming_attr();
-                    (key(e.dn()), Arc::new(e))
-                })
-                .collect(),
-        )
+        Dit::from_keyed(map_halves(batch, |mut e| {
+            e.normalize_naming_attr();
+            (key(e.dn()), Arc::new(e))
+        }))
     }
 
     /// [`bulk_load`](Dit::bulk_load) over already-shared entries: handles
@@ -439,20 +782,16 @@ impl Dit {
     /// shared) are indexed without deep-copying attribute data. An entry
     /// missing its naming attribute is normalized copy-on-write.
     pub fn bulk_load_shared(batch: Vec<Arc<Entry>>) -> Dit {
-        Dit::from_keyed(
-            batch
-                .into_iter()
-                .map(|mut e| {
-                    let needs_norm = e.dn().rdn().is_some_and(|rdn| {
-                        !e.get(rdn.attr()).iter().any(|v| v.as_str() == rdn.value())
-                    });
-                    if needs_norm {
-                        Arc::make_mut(&mut e).normalize_naming_attr();
-                    }
-                    (key(e.dn()), e)
-                })
-                .collect(),
-        )
+        Dit::from_keyed(map_halves(batch, |mut e| {
+            let needs_norm = e
+                .dn()
+                .rdn()
+                .is_some_and(|rdn| !e.get(rdn.attr()).iter().any(|v| v.as_str() == rdn.value()));
+            if needs_norm {
+                Arc::make_mut(&mut e).normalize_naming_attr();
+            }
+            (key(e.dn()), e)
+        }))
     }
 
     /// Shared core of the bulk builders: normalized, keyed entries in.
@@ -468,56 +807,85 @@ impl Dit {
                 false
             }
         });
+        u32::try_from(keyed.len()).expect("a DIT holds at most u32::MAX entries");
+        let slots: Vec<Slot> = keyed
+            .into_iter()
+            .map(|(k, entry)| Slot {
+                key: Arc::from(k),
+                entry,
+            })
+            .collect();
 
-        // The final indexed set under incremental insertion is
-        // `objectclass` plus every naming attribute seen (each arrival
-        // backfills over prior entries), so it can be computed up front.
-        let mut indexed_attrs = BTreeSet::new();
-        indexed_attrs.insert("objectclass".to_owned());
-        for (_, e) in &keyed {
-            if let Some(rdn) = e.dn().rdn() {
-                // Parsed DNs already carry lowercase attribute names, so
-                // the membership probe almost never needs the owned
-                // lowercase copy.
-                let a = rdn.attr().trim();
-                if !a.is_empty() && !indexed_attrs.contains(a) {
-                    indexed_attrs.insert(a.to_ascii_lowercase());
+        let build_structure = || {
+            let by_key: BTreeMap<Arc<str>, u32> = slots
+                .iter()
+                .zip(0..)
+                .map(|(s, id)| (Arc::clone(&s.key), id))
+                .collect();
+            let mut suffix: Vec<(String, u32)> = slots
+                .iter()
+                .zip(0..)
+                .map(|(s, id)| (rev_key(&s.key), id))
+                .collect();
+            // Rendered keys are unique, so an unstable sort is exact; the
+            // B-tree builder then finds the run already sorted.
+            suffix.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            // Ids arrive ascending, so every child list is built sorted.
+            let mut groups: HashMap<&str, Posting> = HashMap::new();
+            for (s, id) in slots.iter().zip(0..) {
+                if let Some(parent) = parent_of(&s.key) {
+                    groups.entry(parent).or_default().push(id);
                 }
             }
-        }
-
-        let parallel = std::thread::available_parallelism().map_or(1, usize::from) > 1;
-        let (suffix_index, children, attr_index) = if parallel {
+            let mut children: Vec<(&str, Posting)> = groups.into_iter().collect();
+            children.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            let children = children.into_iter().map(|(p, ids)| (p.to_owned(), ids));
+            (by_key, suffix.into_iter().collect(), children.collect())
+        };
+        // With a second core, the structural indexes are built on their
+        // own thread while this one gathers the attribute values; the
+        // attribute indexes are then finished in two halves, split where
+        // half the values are, on this thread and one more.
+        let ((by_key, suffix, children), attrs) = if parallel() {
             std::thread::scope(|s| {
-                let sfx = s.spawn(|| build_suffix(&keyed));
-                let ch = s.spawn(|| build_children(&keyed));
-                let ai = build_attr_index(&keyed, &indexed_attrs);
-                (
-                    sfx.join().expect("suffix index builder panicked"),
-                    ch.join().expect("parent index builder panicked"),
-                    ai,
-                )
+                let structure = s.spawn(build_structure);
+                let mut lo = gather_attrs(&slots);
+                let total: usize = lo.iter().map(|g| g.2.len()).sum();
+                let mut seen = 0;
+                let cut = lo
+                    .iter()
+                    .position(|g| {
+                        seen += g.2.len();
+                        seen * 2 >= total
+                    })
+                    .map_or(0, |i| i + 1);
+                let hi = lo.split_off(cut);
+                let hi = s.spawn(|| hi.into_iter().map(index_attr).collect::<Vec<_>>());
+                let mut attrs: BTreeMap<_, _> = lo.into_iter().map(index_attr).collect();
+                attrs.extend(hi.join().expect("attribute index builder panicked"));
+                let structure = structure.join().expect("structural index builder panicked");
+                (structure, attrs)
             })
         } else {
-            (
-                build_suffix(&keyed),
-                build_children(&keyed),
-                build_attr_index(&keyed, &indexed_attrs),
-            )
+            let attrs = gather_attrs(&slots).into_iter().map(index_attr).collect();
+            (build_structure(), attrs)
         };
 
         Dit {
-            entries: keyed.into_iter().collect(),
+            slots: slots.into_iter().map(Some).collect(),
+            free: Vec::new(),
+            by_key,
             children,
-            suffix_index,
-            attr_index,
-            indexed_attrs,
+            suffix,
+            attrs,
+            rank: OnceLock::new(),
         }
     }
 
     /// Remove the entry at `dn`. Returns it if present.
     pub fn delete(&mut self, dn: &Dn) -> Option<Entry> {
-        let arc = self.remove_key(&key(dn))?;
+        let id = *self.by_key.get(key(dn).as_str())?;
+        let arc = self.remove_id(id);
         Some(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()))
     }
 
@@ -526,104 +894,206 @@ impl Dit {
     /// The doomed set is a single contiguous range of the suffix-major
     /// index, so entries outside the subtree are never visited.
     pub fn delete_subtree(&mut self, dn: &Dn) -> usize {
-        let doomed: Vec<String> = if dn.is_root() {
-            self.entries.keys().cloned().collect()
-        } else {
-            let prefix = rev_key(dn);
-            let mut end = prefix.clone();
-            end.push('\u{1}');
-            self.suffix_index
-                .range(prefix..end)
-                .map(|(_, k)| k.clone())
-                .collect()
-        };
-        let n = doomed.len();
-        for k in &doomed {
-            self.remove_key(k);
+        if dn.is_root() {
+            let n = self.len();
+            *self = Dit::new();
+            return n;
         }
-        n
+        let doomed = self.subtree_ids(&key(dn));
+        for &id in &doomed {
+            self.remove_id(id);
+        }
+        doomed.len()
+    }
+
+    /// Ids of the subtree rooted at primary key `k` (unsorted).
+    fn subtree_ids(&self, k: &str) -> Vec<u32> {
+        let prefix = rev_key(k);
+        let mut end = prefix.clone();
+        end.push('\u{1}');
+        self.suffix.range(prefix..end).map(|(_, &id)| id).collect()
     }
 
     /// Fetch the entry at `dn`.
     pub fn get(&self, dn: &Dn) -> Option<&Entry> {
-        self.entries.get(&key(dn)).map(Arc::as_ref)
-    }
-
-    /// Mutable fetch (copy-on-write when the entry is shared with search
-    /// results). Mutating attributes through this handle bypasses the
-    /// attribute index; callers changing indexed attributes should
-    /// re-`upsert` the entry instead.
-    pub fn get_mut(&mut self, dn: &Dn) -> Option<&mut Entry> {
-        self.entries.get_mut(&key(dn)).map(Arc::make_mut)
+        self.get_shared(&key(dn)).map(Arc::as_ref)
     }
 
     /// Iterate all entries in deterministic (DN string) order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values().map(Arc::as_ref)
+        self.iter_shared().map(|(_, e)| e.as_ref())
     }
 
     /// Iterate (primary key, shared handle) pairs in key order. Delta
     /// extraction merge-joins two snapshots with this: `Arc::ptr_eq` on
     /// the handles detects unchanged entries without comparing content.
     pub fn iter_shared(&self) -> impl Iterator<Item = (&str, &Arc<Entry>)> {
-        self.entries.iter().map(|(k, e)| (k.as_str(), e))
+        self.by_key
+            .iter()
+            .map(|(k, &id)| (k.as_ref(), &self.slot(id).entry))
     }
 
     /// Fetch the shared handle at primary key `k` (a normalized DN
     /// rendering, as yielded by [`iter_shared`](Dit::iter_shared)).
     pub fn get_shared(&self, k: &str) -> Option<&Arc<Entry>> {
-        self.entries.get(k)
+        self.by_key.get(k).map(|&id| &self.slot(id).entry)
     }
 
-    /// Keys of entries that could satisfy `filter`, from the equality
-    /// index. `None` means the filter is not indexable and every in-scope
-    /// entry must be tested. The returned set is a superset of the true
-    /// matches (the full filter is always re-evaluated), and is in
-    /// primary-key order.
-    fn candidate_keys(&self, filter: &Filter) -> Option<Cow<'_, BTreeSet<String>>> {
+    /// Candidate plan for `filter`, or `None` when the filter is not
+    /// indexable or finding its postings would cost more than `budget`.
+    fn plan(&self, filter: &Filter, budget: usize) -> Option<Plan<'_>> {
         match filter {
-            Filter::Eq(attr, value) => {
-                let a = attr.trim().to_ascii_lowercase();
-                if !self.indexed_attrs.contains(&a) {
+            Filter::Eq(attr, value) => Some(match self.attr(attr) {
+                Some(ix) => Plan::Any {
+                    postings: ix
+                        .values
+                        .get(norm_value(value).as_ref())
+                        .map(|p| vec![p.as_slice()])
+                        .unwrap_or_default(),
+                    walked: 0,
+                },
+                None => Plan::EMPTY,
+            }),
+            Filter::Present(attr) => Some(match self.attr(attr) {
+                Some(ix) => Plan::Any {
+                    postings: vec![ix.present.as_slice()],
+                    walked: 0,
+                },
+                None => Plan::EMPTY,
+            }),
+            Filter::Ge(attr, value) | Filter::Le(attr, value) => {
+                let Some(ix) = self.attr(attr) else {
+                    return Some(Plan::EMPTY);
+                };
+                range_plan(ix, value, matches!(filter, Filter::Ge(..)), budget)
+            }
+            Filter::Substring {
+                attr,
+                initial,
+                any,
+                final_,
+            } => {
+                let fragments = initial.iter().chain(any).chain(final_);
+                if fragments.clone().any(|f| edge_space(f)) {
                     return None;
                 }
-                Some(
-                    match self
-                        .attr_index
-                        .get(&a)
-                        .and_then(|idx| idx.get(&norm_value(value)))
-                    {
-                        Some(set) => Cow::Borrowed(set),
-                        // Indexed attribute, value never seen: nothing matches.
-                        None => Cow::Owned(BTreeSet::new()),
-                    },
-                )
+                let Some(ix) = self.attr(attr) else {
+                    return Some(Plan::EMPTY);
+                };
+                let test = |v: &str| substring_match(v, initial.as_deref(), any, final_.as_deref());
+                let prefix = initial.as_deref().unwrap_or("").to_ascii_lowercase();
+                let keys = ix
+                    .values
+                    .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+                    .take_while(|(k, _)| k.starts_with(&prefix));
+                collect_postings(keys, test, budget)
             }
             Filter::And(fs) => {
-                // Any indexable conjunct bounds the candidates; intersect
-                // all of them. Non-indexable conjuncts are enforced by the
-                // re-evaluation pass.
-                let mut sets = fs.iter().filter_map(|f| self.candidate_keys(f));
-                let mut acc = sets.next()?;
-                for s in sets {
+                let mut parts: Vec<Plan<'_>> =
+                    fs.iter().filter_map(|f| self.plan(f, budget)).collect();
+                parts.sort_by_key(Plan::size);
+                let mut parts = parts.into_iter();
+                let first = parts.next()?;
+                // A further conjunct is worth intersecting only if reading
+                // it costs less than dereferencing the candidates it could
+                // remove.
+                let bound = first.size().saturating_mul(DEREF_COST);
+                let mut kept = vec![first];
+                kept.extend(parts.filter(|p| p.cost() < bound));
+                let plan = if kept.len() == 1 {
+                    kept.pop().expect("one plan kept")
+                } else {
+                    Plan::All(kept)
+                };
+                (plan.cost() <= budget).then_some(plan)
+            }
+            Filter::Or(fs) => {
+                let parts = fs
+                    .iter()
+                    .map(|f| self.plan(f, budget))
+                    .collect::<Option<Vec<_>>>()?;
+                let plan = Plan::Or(parts);
+                (plan.cost() <= budget).then_some(plan)
+            }
+            Filter::Not(_) | Filter::Approx(..) => None,
+        }
+    }
+
+    fn attr(&self, attr: &str) -> Option<&AttrIndex> {
+        self.attrs.get(norm_attr(attr).as_ref())
+    }
+
+    /// The candidates of `plan` as sorted, deduplicated ids.
+    fn materialize<'a>(&self, plan: &Plan<'a>) -> Cow<'a, [u32]> {
+        match plan {
+            Plan::Any { postings, .. } => match postings.as_slice() {
+                [] => Cow::Borrowed(&[]),
+                [p] => Cow::Borrowed(*p),
+                many => Cow::Owned(sorted(many.concat(), self.slots.len())),
+            },
+            Plan::All(parts) => {
+                let mut acc = self.materialize(&parts[0]);
+                for p in &parts[1..] {
                     if acc.is_empty() {
                         break;
                     }
-                    acc = Cow::Owned(acc.intersection(&s).cloned().collect());
+                    acc = Cow::Owned(intersect(&acc, &self.materialize(p)));
                 }
-                Some(acc)
+                acc
             }
-            Filter::Or(fs) => {
-                // Sound only when every branch is indexable — a single
-                // opaque branch could match entries outside the union.
-                let mut acc = BTreeSet::new();
-                for f in fs {
-                    acc.extend(self.candidate_keys(f)?.iter().cloned());
-                }
-                Some(Cow::Owned(acc))
+            Plan::Or(parts) => {
+                let all: Vec<u32> = parts
+                    .iter()
+                    .flat_map(|p| self.materialize(p).into_owned())
+                    .collect();
+                Cow::Owned(sorted(all, self.slots.len()))
             }
-            _ => None,
         }
+    }
+
+    /// Sorted candidate ids for `filter` over a scope of `scope` entries,
+    /// if reading them, narrowing them to the scope (`narrow` id steps)
+    /// and dereferencing the survivors is cheaper than scanning the
+    /// scope. Survivors are estimated as the candidates' share of the
+    /// tree falling in the scope.
+    fn candidates(&self, filter: &Filter, scope: usize, narrow: usize) -> Option<Vec<u32>> {
+        let scan = scope.saturating_mul(DEREF_COST);
+        let plan = self.plan(filter, scan)?;
+        let survivors = plan.size() as f64 * scope as f64 / self.len().max(1) as f64;
+        let cost = (plan.cost() + narrow) as f64 + survivors * DEREF_COST as f64;
+        (cost < scan as f64).then(|| self.materialize(&plan).into_owned())
+    }
+
+    /// Reorder distinct ids into primary-key order.
+    fn key_order(&self, mut ids: Vec<u32>) -> Vec<u32> {
+        if ids.len() > 1 {
+            let rank = self.rank.get_or_init(|| {
+                let mut rank = vec![u32::MAX; self.slots.len()];
+                for (pos, &id) in (0..).zip(self.by_key.values()) {
+                    rank[id as usize] = pos;
+                }
+                rank.into_boxed_slice()
+            });
+            ids.sort_unstable_by_key(|&id| rank[id as usize]);
+        }
+        ids
+    }
+
+    /// The entries at `ids`, in order, that match `filter`, up to `limit`.
+    fn emit(
+        &self,
+        ids: impl IntoIterator<Item = u32>,
+        filter: &Filter,
+        selection: &[String],
+        limit: usize,
+    ) -> Vec<Arc<Entry>> {
+        let mut out = Vec::new();
+        for id in ids {
+            if push_if_match(&mut out, &self.slot(id).entry, filter, selection, limit) {
+                break;
+            }
+        }
+        out
     }
 
     /// Scoped, filtered search returning shared handles: entries are
@@ -644,93 +1114,37 @@ impl Dit {
         } else {
             size_limit
         };
-        let mut out = Vec::new();
-        match scope {
+        let ids = match scope {
             Scope::Base => {
-                if let Some(e) = self.entries.get(&key(base)) {
-                    push_if_match(&mut out, e, filter, selection, limit);
-                }
+                let id = self.by_key.get(key(base).as_str()).copied();
+                return self.emit(id, filter, selection, limit);
             }
             Scope::One => {
                 let Some(kids) = self.children.get(&key(base)) else {
-                    return out;
+                    return Vec::new();
                 };
-                match self.candidate_keys(filter) {
-                    Some(cands) => {
-                        // Iterate the smaller set, membership-test the
-                        // other; both are sorted by primary key.
-                        let (walk, probe): (&BTreeSet<String>, &BTreeSet<String>) =
-                            if cands.len() < kids.len() {
-                                (&cands, kids)
-                            } else {
-                                (kids, &cands)
-                            };
-                        for k in walk {
-                            if !probe.contains(k) {
-                                continue;
-                            }
-                            let Some(e) = self.entries.get(k) else {
-                                continue;
-                            };
-                            if push_if_match(&mut out, e, filter, selection, limit) {
-                                break;
-                            }
-                        }
-                    }
-                    None => {
-                        for k in kids {
-                            let Some(e) = self.entries.get(k) else {
-                                continue;
-                            };
-                            if push_if_match(&mut out, e, filter, selection, limit) {
-                                break;
-                            }
-                        }
-                    }
+                match self.candidates(filter, kids.len(), kids.len()) {
+                    Some(cands) => intersect(&cands, kids),
+                    None => kids.clone(),
                 }
             }
+            Scope::Sub if base.is_root() => match self.candidates(filter, self.len(), 0) {
+                Some(cands) => cands,
+                None => return self.emit(self.by_key.values().copied(), filter, selection, limit),
+            },
             Scope::Sub => {
-                if let Some(cands) = self.candidate_keys(filter) {
-                    for k in cands.iter() {
-                        let Some(e) = self.entries.get(k) else {
-                            continue;
-                        };
-                        if e.dn().is_under(base)
-                            && push_if_match(&mut out, e, filter, selection, limit)
-                        {
-                            break;
-                        }
+                let scope = self.subtree_ids(&key(base));
+                match self.candidates(filter, scope.len(), scope.len()) {
+                    Some(mut cands) => {
+                        let inside = Bits::of(self.slots.len(), scope);
+                        cands.retain(|&id| inside.contains(id));
+                        cands
                     }
-                } else if base.is_root() {
-                    for e in self.entries.values() {
-                        if push_if_match(&mut out, e, filter, selection, limit) {
-                            break;
-                        }
-                    }
-                } else {
-                    // Range-scan exactly the subtree in suffix-major
-                    // order, then restore primary-key output order.
-                    let prefix = rev_key(base);
-                    let mut end = prefix.clone();
-                    end.push('\u{1}');
-                    let mut keys: Vec<&String> = self
-                        .suffix_index
-                        .range(prefix..end)
-                        .map(|(_, k)| k)
-                        .collect();
-                    keys.sort_unstable();
-                    for k in keys {
-                        let Some(e) = self.entries.get(k) else {
-                            continue;
-                        };
-                        if push_if_match(&mut out, e, filter, selection, limit) {
-                            break;
-                        }
-                    }
+                    None => scope,
                 }
             }
-        }
-        out
+        };
+        self.emit(self.key_order(ids), filter, selection, limit)
     }
 
     /// Scoped, filtered search. Returns matching entries, projected onto
@@ -751,33 +1165,145 @@ impl Dit {
 
     /// Immediate children of `dn` (by DN structure), via the parent index.
     pub fn children(&self, dn: &Dn) -> Vec<&Entry> {
-        match self.children.get(&key(dn)) {
-            Some(kids) => kids
-                .iter()
-                .filter_map(|k| self.entries.get(k))
-                .map(Arc::as_ref)
-                .collect(),
-            None => Vec::new(),
+        let kids = self.children.get(&key(dn)).cloned().unwrap_or_default();
+        self.key_order(kids)
+            .into_iter()
+            .map(|id| self.slot(id).entry.as_ref())
+            .collect()
+    }
+
+    /// Every stored entry in key order, then every index's content with
+    /// ids rendered as primary keys: two trees holding the same entries
+    /// must render identically whatever ids they assigned.
+    #[cfg(test)]
+    pub(crate) fn logical(&self) -> String {
+        let keys = |ids: &[u32]| {
+            let mut ks: Vec<&str> = ids.iter().map(|&id| &*self.slot(id).key).collect();
+            ks.sort_unstable();
+            ks.join(" | ")
+        };
+        let ascending =
+            |ids: &[u32]| assert!(ids.windows(2).all(|w| w[0] < w[1]), "unsorted posting");
+        let mut out = String::new();
+        for (k, e) in self.iter_shared() {
+            assert_eq!(
+                *self.slot(self.by_key[k]).key,
+                *k,
+                "by_key and slots disagree"
+            );
+            out += &format!("entry {k}: {e:?}\n");
         }
+        let live = self.slots.iter().filter(|s| s.is_some()).count();
+        assert_eq!(live, self.len(), "a live slot is missing from by_key");
+        assert_eq!(
+            live + self.free.len(),
+            self.slots.len(),
+            "free list out of step"
+        );
+        for (parent, ids) in &self.children {
+            ascending(ids);
+            out += &format!("children {parent:?}: {}\n", keys(ids));
+        }
+        for (rev, &id) in &self.suffix {
+            out += &format!("suffix {rev:?}: {}\n", keys(&[id]));
+        }
+        for (attr, ix) in &self.attrs {
+            ascending(&ix.present);
+            out += &format!("present {attr}: {}\n", keys(&ix.present));
+            for (v, ids) in &ix.values {
+                ascending(ids);
+                out += &format!("value {attr}={v:?}: {}\n", keys(ids));
+            }
+            for (n, ids) in &ix.numbers {
+                ascending(ids);
+                out += &format!("number {attr}={:?}: {}\n", n.0, keys(ids));
+            }
+            let text = ix.values.keys().filter(|v| as_number(v).is_none()).count();
+            assert_eq!(ix.text, text, "text-value count out of step for {attr}");
+        }
+        out
     }
 
     /// Re-home every entry under a new suffix: each stored DN `d` becomes
     /// `d.under(suffix)`. Used when a directory mounts a provider's
     /// namespace inside its own (Figure 5).
     pub fn rebased(&self, suffix: &Dn) -> Dit {
-        let mut out = Dit::new();
-        // Entries were normalized on insert and rebasing preserves the
-        // most-specific RDN, so re-normalization is unnecessary; carrying
-        // the indexed-attribute set over avoids per-entry backfills.
-        out.indexed_attrs = self.indexed_attrs.clone();
-        for e in self.entries.values() {
-            let mut e = (**e).clone();
-            e.set_dn(e.dn().under(suffix));
-            let k = key(e.dn());
-            out.insert_at(k, e);
-        }
-        out
+        Dit::bulk_load(
+            self.iter()
+                .map(|e| {
+                    let mut e = e.clone();
+                    e.set_dn(e.dn().under(suffix));
+                    e
+                })
+                .collect(),
+        )
     }
+}
+
+/// Plan for `attr >= value` (`ge`) or `attr <= value`: numeric values
+/// compare as numbers when `value` is one, everything else compares
+/// lexicographically on the normalized form.
+fn range_plan<'a>(ix: &'a AttrIndex, value: &str, ge: bool, budget: usize) -> Option<Plan<'a>> {
+    let nv = norm_value(value);
+    let bound = if ge {
+        (Bound::Included(nv.as_ref()), Bound::Unbounded)
+    } else {
+        (Bound::Unbounded, Bound::Included(nv.as_ref()))
+    };
+    let dictionary = ix.values.range::<str, _>(bound);
+    let Some(y) = as_number(&nv) else {
+        return collect_postings(dictionary, |_| true, budget);
+    };
+    let y = Num::new(y);
+    let numeric: Vec<&[u32]> = if y.0.is_nan() {
+        ix.numbers.values().map(Vec::as_slice).collect()
+    } else if ge {
+        ix.numbers.range(y..).map(|(_, p)| p.as_slice()).collect()
+    } else {
+        let nan = ix.numbers.get(&Num::new(f64::NAN));
+        ix.numbers
+            .range(..=y)
+            .map(|(_, p)| p.as_slice())
+            .chain(nan.map(Vec::as_slice))
+            .collect()
+    };
+    let mut plan = if ix.text == 0 {
+        Plan::Any {
+            postings: Vec::new(),
+            walked: 0,
+        }
+    } else {
+        collect_postings(dictionary, |v| as_number(v).is_none(), budget)?
+    };
+    if let Plan::Any { postings, walked } = &mut plan {
+        *walked += numeric.len();
+        postings.extend(numeric);
+    }
+    (plan.cost() <= budget).then_some(plan)
+}
+
+/// Union plan over the dictionary keys in `keys` that pass `test`,
+/// abandoned once its cost exceeds `budget`.
+fn collect_postings<'a>(
+    keys: impl Iterator<Item = (&'a String, &'a Posting)>,
+    test: impl Fn(&str) -> bool,
+    budget: usize,
+) -> Option<Plan<'a>> {
+    let mut postings = Vec::new();
+    let mut cost = 0usize;
+    let mut walked = 0;
+    for (k, p) in keys {
+        walked += 1;
+        cost += 1;
+        if test(k) {
+            cost += p.len();
+            postings.push(p.as_slice());
+        }
+        if cost > budget {
+            return None;
+        }
+    }
+    Some(Plan::Any { postings, walked })
 }
 
 #[cfg(test)]
@@ -827,10 +1353,8 @@ mod tests {
         dit
     }
 
-    /// Structural equality across every field (entries and all three
-    /// indexes): `Debug` renders the private BTree maps deterministically.
     fn assert_same_dit(a: &Dit, b: &Dit) {
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a.logical(), b.logical());
     }
 
     #[test]
@@ -854,7 +1378,7 @@ mod tests {
                 .unwrap()
                 .with_class("computer")
                 .with("system", "irix"),
-            // Second naming attribute exercises the indexed-attr backfill.
+            // A second naming attribute.
             Entry::at("vo=alpha").unwrap().with_class("organization"),
         ];
         let mut sequential = Dit::new();
@@ -864,9 +1388,46 @@ mod tests {
         let bulk = Dit::bulk_load(batch);
         assert_same_dit(&bulk, &sequential);
         assert_eq!(
-            bulk.indexed_attrs().collect::<Vec<_>>(),
-            ["hn", "objectclass", "perf", "queue", "vo"]
+            bulk.attrs.keys().map(String::as_str).collect::<Vec<_>>(),
+            [
+                "dispatchtype",
+                "hn",
+                "load5",
+                "objectclass",
+                "perf",
+                "queue",
+                "system",
+                "vo"
+            ],
+            "every attribute of every entry is indexed"
         );
+    }
+
+    #[test]
+    fn bulk_load_groups_values_by_their_whole_text() {
+        // Values whose first eight bytes tie, shorter values padded with
+        // NULs, and spellings that normalize alike.
+        let notes = [
+            "abcdefgh2",
+            "abcdefgh",
+            "ab",
+            "abcdefgh1",
+            "ab\0",
+            "abcdefgh",
+            " Abcdefgh1",
+        ];
+        let batch: Vec<Entry> = notes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| Entry::at(&format!("hn=h{i}")).unwrap().with("note", *n))
+            .collect();
+        let mut sequential = Dit::new();
+        for e in batch.clone() {
+            sequential.upsert(e);
+        }
+        let bulk = Dit::bulk_load(batch);
+        assert_same_dit(&bulk, &sequential);
+        assert_eq!(bulk.attrs["note"].values.len(), 5);
     }
 
     #[test]
@@ -1007,8 +1568,8 @@ mod tests {
         dit.add(Entry::at("hn=hostXY").unwrap().with_class("computer"))
             .unwrap();
         let base = Dn::parse("hn=hostX").unwrap();
-        // Non-indexable filter forces the range-scan path.
-        let f = Filter::parse("(system=*)").unwrap();
+        // An approximate match is never indexed: this is the scope scan.
+        let f = Filter::parse("(system~=mips  irix)").unwrap();
         let hits = dit.search(&base, Scope::Sub, &f, &[], 0);
         assert!(hits.iter().all(|e| e.dn().is_under(&base)));
         let all = dit.search(&base, Scope::Sub, &Filter::always(), &[], 0);
@@ -1018,8 +1579,6 @@ mod tests {
     #[test]
     fn naming_attr_queries_use_equality_index() {
         let dit = sample();
-        // "hn" was auto-indexed when hn=hostX was inserted.
-        assert!(dit.indexed_attrs().any(|a| a == "hn"));
         let f = Filter::parse("(hn=hostY)").unwrap();
         let hits = dit.search(&Dn::root(), Scope::Sub, &f, &[], 0);
         assert_eq!(hits.len(), 1);
@@ -1055,9 +1614,9 @@ mod tests {
     #[test]
     fn or_with_unindexable_branch_still_correct() {
         let dit = sample();
-        // The substring branch is not indexable, so the whole Or must
+        // The approximate branch is not indexable, so the whole Or must
         // fall back to a scan rather than return only index hits.
-        let f = Filter::parse("(|(hn=hostY)(system=mips*))").unwrap();
+        let f = Filter::parse("(|(hn=hostY)(system~=MIPS irix))").unwrap();
         let hits = dit.search(&Dn::root(), Scope::Sub, &f, &[], 0);
         assert_eq!(hits.len(), 2);
     }
@@ -1113,5 +1672,69 @@ mod tests {
             0,
         );
         assert_eq!(one.len(), 3);
+    }
+
+    /// 20 orgs x 50 hosts, each host naming its org in `site`.
+    fn orgs() -> Dit {
+        let mut batch = Vec::new();
+        for o in 0..20 {
+            for h in 0..50 {
+                batch.push(
+                    Entry::at(&format!("hn=h{h}, o=O{o}"))
+                        .unwrap()
+                        .with_class("computer")
+                        .with("site", format!("s{o}"))
+                        .with("cpucount", h as i64),
+                );
+            }
+        }
+        Dit::bulk_load(batch)
+    }
+
+    #[test]
+    fn planner_reads_postings_only_when_cheaper_than_the_scope() {
+        let dit = orgs();
+        let plan = |f: &str, scope: usize| {
+            dit.candidates(&Filter::parse(f).unwrap(), scope, scope)
+                .map(|ids| ids.len())
+        };
+        // One org's hosts out of 1000 entries: a 20-id posting beats
+        // scanning the whole tree, not a 3-entry scope.
+        assert_eq!(plan("(site=s3)", 1000), Some(50));
+        assert_eq!(plan("(site=s3)", 3), None);
+        // Match-everything postings never beat the scope they cover.
+        assert_eq!(plan("(objectclass=*)", 1000), None);
+        assert_eq!(plan("(cpucount>=0)", 50), None);
+        // A narrow numeric range, a conjunction keeping only its cheap
+        // conjunct, and an Or over indexable branches.
+        assert_eq!(plan("(cpucount>=48)", 1000), Some(40));
+        assert_eq!(plan("(&(site=s3)(objectclass=computer))", 1000), Some(50));
+        assert_eq!(plan("(|(site=s3)(site=s4))", 1000), Some(100));
+        // An approximate branch makes an Or unindexable.
+        assert_eq!(plan("(|(site=s3)(site~=s4))", 1000), None);
+    }
+
+    #[test]
+    fn out_of_order_inserts_still_answer_in_key_order() {
+        let mut dit = Dit::new();
+        for h in ["hn=c", "hn=a", "hn=d", "hn=b"] {
+            dit.upsert(Entry::at(h).unwrap().with_class("computer"));
+        }
+        // A freed slot is reused by the next new key.
+        dit.delete(&Dn::parse("hn=d").unwrap());
+        dit.upsert(Entry::at("hn=aa").unwrap().with_class("computer"));
+        assert_eq!(dit.slots.len(), 4);
+        let f = Filter::parse("(objectclass=computer)").unwrap();
+        let dns =
+            |hits: Vec<Entry>| -> Vec<String> { hits.iter().map(|e| e.dn().to_string()).collect() };
+        let want = ["hn=a", "hn=aa", "hn=b", "hn=c"];
+        assert_eq!(dns(dit.search(&Dn::root(), Scope::Sub, &f, &[], 0)), want);
+        assert_eq!(dns(dit.search(&Dn::root(), Scope::One, &f, &[], 0)), want);
+        assert_eq!(
+            dns(dit.search(&Dn::root(), Scope::One, &f, &[], 2)),
+            want[..2]
+        );
+        let bulk = Dit::bulk_load(dit.iter().cloned().collect());
+        assert_same_dit(&bulk, &dit);
     }
 }

@@ -11,6 +11,7 @@ use crate::error::{LdapError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Reserved attribute name carrying the entry's object classes.
 pub const OBJECT_CLASS: &str = "objectclass";
@@ -79,11 +80,16 @@ impl From<f64> for AttrValue {
 }
 
 /// A directory entry: a DN plus a multi-valued attribute map.
+///
+/// The attribute map is shared copy-on-write: cloning an entry (a
+/// search result leaving the directory, a projection onto all
+/// attributes) copies the DN and bumps a reference count, and the first
+/// mutation of a shared map copies it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Entry {
     dn: Dn,
     /// Attribute name (lowercased) -> values, in insertion order per name.
-    attrs: BTreeMap<String, Vec<AttrValue>>,
+    attrs: Arc<BTreeMap<String, Vec<AttrValue>>>,
 }
 
 impl Entry {
@@ -91,7 +97,7 @@ impl Entry {
     pub fn new(dn: Dn) -> Entry {
         Entry {
             dn,
-            attrs: BTreeMap::new(),
+            attrs: Arc::new(BTreeMap::new()),
         }
     }
 
@@ -115,7 +121,9 @@ impl Entry {
     /// deduplicating exact repeats).
     pub fn add(&mut self, attr: &str, value: impl Into<AttrValue>) -> &mut Entry {
         let v = value.into();
-        let slot = self.attrs.entry(attr.to_ascii_lowercase()).or_default();
+        let slot = Arc::make_mut(&mut self.attrs)
+            .entry(attr.to_ascii_lowercase())
+            .or_default();
         if !slot.contains(&v) {
             slot.push(v);
         }
@@ -124,13 +132,13 @@ impl Entry {
 
     /// Replace all values of an attribute.
     pub fn put(&mut self, attr: &str, values: Vec<AttrValue>) -> &mut Entry {
-        self.attrs.insert(attr.to_ascii_lowercase(), values);
+        Arc::make_mut(&mut self.attrs).insert(attr.to_ascii_lowercase(), values);
         self
     }
 
     /// Remove an attribute entirely. Returns the removed values, if any.
     pub fn remove(&mut self, attr: &str) -> Option<Vec<AttrValue>> {
-        self.attrs.remove(&attr.to_ascii_lowercase())
+        Arc::make_mut(&mut self.attrs).remove(&attr.to_ascii_lowercase())
     }
 
     /// Builder-style `add` for fluent construction.
@@ -206,14 +214,17 @@ impl Entry {
         if selection.is_empty() {
             return self.clone();
         }
-        let mut out = Entry::new(self.dn.clone());
+        let mut attrs = BTreeMap::new();
         for want in selection {
             let key = want.to_ascii_lowercase();
             if let Some(values) = self.attrs.get(&key) {
-                out.attrs.insert(key, values.clone());
+                attrs.insert(key, values.clone());
             }
         }
-        out
+        Entry {
+            dn: self.dn.clone(),
+            attrs: Arc::new(attrs),
+        }
     }
 
     /// Merge another entry's attributes into this one (multi-valued union).

@@ -156,12 +156,18 @@ fn values_eq(a: &str, b: &str) -> bool {
     a.trim().eq_ignore_ascii_case(b.trim())
 }
 
+/// The number a value denotes for ordering comparisons, if it parses as
+/// one. The DIT's ordered numeric postings key values by exactly this.
+pub(crate) fn as_number(value: &str) -> Option<f64> {
+    value.trim().parse().ok()
+}
+
 /// Numeric comparison when both parse as f64, case-insensitive
 /// lexicographic otherwise. Byte-wise over folded bytes, so no
 /// intermediate lowercased strings are built (filters run once per
 /// candidate entry on the query hot path).
 fn values_cmp(a: &str, b: &str) -> std::cmp::Ordering {
-    if let (Ok(x), Ok(y)) = (a.trim().parse::<f64>(), b.trim().parse::<f64>()) {
+    if let (Some(x), Some(y)) = (as_number(a), as_number(b)) {
         return x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal);
     }
     let a = a.trim().as_bytes();
@@ -210,7 +216,7 @@ fn find_ci(hay: &[u8], needle: &[u8]) -> Option<usize> {
 /// with ASCII case folding (multi-byte UTF-8 sequences are unaffected by
 /// ASCII folding, so byte-window comparison is exact) — no lowercased
 /// copies of the value or the pattern fragments are allocated.
-fn substring_match(
+pub(crate) fn substring_match(
     value: &str,
     initial: Option<&str>,
     any: &[String],

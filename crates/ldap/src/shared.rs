@@ -12,10 +12,14 @@
 //!   which serializes writers on the `master` mutex. The engines that own
 //!   a `SharedDit` (the GIIS harvest cache) only mutate from their owning
 //!   thread, so this mutex is uncontended in practice.
-//! * **Build-and-swap publication.** `mutate` applies the whole batch to
-//!   the private master tree, then publishes an [`Arc`] clone of it. The
-//!   clone is shallow — entries are reference-counted — so publication is
-//!   `O(n)` pointer copies, amortized over the batch.
+//! * **Build-and-swap publication.** The master tree is itself an
+//!   [`Arc<Dit>`], and publishing hands readers another handle to it —
+//!   no copy. [`replace`](SharedDit::replace) therefore publishes the
+//!   tree it is given as is. `mutate` applies the whole batch through
+//!   [`Arc::make_mut`], which copies the tree only while a handle to the
+//!   version being replaced is still out — always the case once it has
+//!   been published, since the published slot holds one. The copy is
+//!   shallow in the entries, which are reference-counted.
 //! * **Wait-free-ish readers.** [`SharedDit::snapshot`] takes the
 //!   `published` read lock only long enough to clone the `Arc`; the swap
 //!   in `mutate` holds the write lock only for the pointer store. Queries
@@ -37,8 +41,9 @@ use std::sync::Arc;
 /// single logical writer publishes new versions by build-and-swap.
 #[derive(Debug)]
 pub struct SharedDit {
-    /// The writer's private build tree. Only `mutate` touches it.
-    master: Mutex<Dit>,
+    /// The writer's handle on the latest tree. Only `mutate` and
+    /// `replace` touch it.
+    master: Mutex<Arc<Dit>>,
     /// The currently-published snapshot readers clone.
     published: RwLock<Arc<Dit>>,
 }
@@ -57,8 +62,9 @@ impl SharedDit {
 
     /// Wrap an existing tree; it becomes the first published snapshot.
     pub fn from_dit(dit: Dit) -> SharedDit {
+        let dit = Arc::new(dit);
         SharedDit {
-            published: RwLock::new(Arc::new(dit.clone())),
+            published: RwLock::new(Arc::clone(&dit)),
             master: Mutex::new(dit),
         }
     }
@@ -71,17 +77,17 @@ impl SharedDit {
 
     /// Apply a mutation batch and publish the result as the new snapshot.
     ///
-    /// The closure runs with the master tree exclusively borrowed;
-    /// readers are *not* blocked while it runs — they keep serving the
-    /// previous snapshot and observe the whole batch atomically once the
-    /// swap lands.
+    /// The closure runs with the master tree exclusively borrowed (a
+    /// private copy while any snapshot of it is still held); readers are
+    /// *not* blocked while it runs — they keep serving the previous
+    /// snapshot and observe the whole batch atomically once the swap
+    /// lands.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Dit) -> R) -> R {
         let mut master = self.master.lock();
-        let out = f(&mut master);
-        let next = Arc::new(master.clone());
+        let out = f(Arc::make_mut(&mut master));
         // Publish while still holding `master`: batches can never land
         // out of order.
-        *self.published.write() = next;
+        *self.published.write() = Arc::clone(&master);
         out
     }
 
@@ -92,8 +98,8 @@ impl SharedDit {
     /// mutation batch.
     pub fn replace(&self, dit: Dit) {
         let mut master = self.master.lock();
-        *master = dit;
-        *self.published.write() = Arc::new(master.clone());
+        *master = Arc::new(dit);
+        *self.published.write() = Arc::clone(&master);
     }
 
     /// Entry count of the current snapshot.

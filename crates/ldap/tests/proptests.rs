@@ -131,6 +131,135 @@ fn tree_filter() -> impl Strategy<Value = Filter> {
     })
 }
 
+/// Values for the mixed attribute `num`: numbers in several spellings
+/// (including `-0`, `nan`, `inf` and padded forms) beside words, so
+/// ordering filters meet both numeric and lexicographic comparison.
+const MIXED: [&str; 14] = [
+    "1", "2.5", "-0", "0", "10", "1e1", "nan", "inf", "-3", " 3 ", "abc", "B", "x y", "10a",
+];
+
+/// Values for the text attribute `txt`, with case and padding variety.
+const TEXT: [&str; 8] = [
+    "linux 2.4",
+    "Mips IRIX",
+    "solaris 8",
+    "  padded ",
+    "aix",
+    "LINUX",
+    "lin",
+    "x",
+];
+
+/// Substring fragments, including whitespace-edged ones the dictionary
+/// cannot serve.
+const FRAGMENTS: [&str; 9] = ["lin", "ux", "IR", "a", " ", " 2", "x ", "1", "e"];
+
+/// An entry at a path over the tiny tree alphabet carrying a class and
+/// a few `num`/`txt` values (sometimes none).
+fn model_entry() -> impl Strategy<Value = Entry> {
+    (
+        prop::collection::vec((0u8..2u8, 0u8..3u8), 0..4),
+        "[a-c]",
+        prop::collection::vec(0..MIXED.len(), 0..3),
+        prop::collection::vec(0..TEXT.len(), 0..2),
+    )
+        .prop_map(|(path, class, nums, texts)| {
+            let mut e = Entry::new(path_dn(&path)).with("objectclass", class);
+            for i in nums {
+                e.add("num", MIXED[i]);
+            }
+            for i in texts {
+                e.add("txt", TEXT[i]);
+            }
+            e
+        })
+}
+
+/// Filters over the model vocabulary: every indexable form (equality,
+/// `>=`/`<=` with numeric and word bounds, presence, substrings with and
+/// without an initial part) and the unindexable ones (`~=`, `!`), mixed
+/// under `And`/`Or`.
+fn model_filter() -> impl Strategy<Value = Filter> {
+    let attr = prop_oneof![
+        Just("num".to_string()),
+        Just("txt".to_string()),
+        Just("objectclass".to_string()),
+        Just("l0a1".to_string()),
+        Just("absent".to_string()),
+    ];
+    let value = prop_oneof![
+        (0..MIXED.len()).prop_map(|i| MIXED[i].to_string()),
+        (0..TEXT.len()).prop_map(|i| TEXT[i].to_string()),
+        "[a-c]".boxed(),
+        "v[0-2]".boxed(),
+    ];
+    let fragment = || (0..FRAGMENTS.len()).prop_map(|i| FRAGMENTS[i].to_string());
+    let substring = |attr: BoxedStrategy<String>| {
+        (
+            attr,
+            prop::option::of(fragment()),
+            prop::collection::vec(fragment(), 0..2),
+            prop::option::of(fragment()),
+        )
+            .prop_filter("substring needs a component", |(_, i, a, f)| {
+                i.is_some() || !a.is_empty() || f.is_some()
+            })
+            .prop_map(|(attr, initial, any, final_)| Filter::Substring {
+                attr,
+                initial,
+                any,
+                final_,
+            })
+    };
+    // Ordering over the mixed attribute and substrings over the text
+    // attribute get leaves of their own, so their edge cases come up.
+    let mixed = || (0..MIXED.len()).prop_map(|i| MIXED[i].to_string());
+    let leaf = prop_oneof![
+        (attr.clone(), value.clone()).prop_map(|(a, v)| Filter::Eq(a, v)),
+        (attr.clone(), value.clone()).prop_map(|(a, v)| Filter::Ge(a, v)),
+        (attr.clone(), value.clone()).prop_map(|(a, v)| Filter::Le(a, v)),
+        mixed().prop_map(|v| Filter::Ge("num".into(), v)),
+        mixed().prop_map(|v| Filter::Le("num".into(), v)),
+        (attr.clone(), value).prop_map(|(a, v)| Filter::Approx(a, v)),
+        attr.clone().prop_map(Filter::Present),
+        substring(attr.boxed()),
+        substring(Just("txt".to_string()).boxed()),
+    ];
+    leaf.prop_recursive(2, 12, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Filter::And),
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Filter::Or),
+            inner.prop_map(|f| Filter::Not(Box::new(f))),
+        ]
+    })
+}
+
+/// One mutation of the tree under test, mirrored on the model.
+#[derive(Debug, Clone)]
+enum Op {
+    Upsert(Entry),
+    Delete(Vec<(u8, u8)>),
+    DeleteSubtree(Vec<(u8, u8)>),
+    /// Rebuild through `bulk_load_shared` from the current entries
+    /// (rotated, so ids come from a fresh order) plus a batch in which
+    /// later duplicates win.
+    Rebuild(usize, Vec<Entry>),
+}
+
+fn model_op() -> impl Strategy<Value = Op> {
+    let path = || prop::collection::vec((0u8..2u8, 0u8..3u8), 0..4);
+    // Upserts listed thrice: trees grow between deletes and rebuilds.
+    prop_oneof![
+        model_entry().prop_map(Op::Upsert),
+        model_entry().prop_map(Op::Upsert),
+        model_entry().prop_map(Op::Upsert),
+        path().prop_map(Op::Delete),
+        path().prop_map(Op::DeleteSubtree),
+        (0usize..8, prop::collection::vec(model_entry(), 0..4))
+            .prop_map(|(rot, batch)| Op::Rebuild(rot, batch)),
+    ]
+}
+
 fn arb_entry() -> impl Strategy<Value = Entry> {
     (
         dn(3),
@@ -418,6 +547,83 @@ proptest! {
                 .map(|e| e.dn().to_string())
                 .collect();
             prop_assert_eq!(got_kids, want_kids);
+        }
+    }
+
+    #[test]
+    fn indexed_search_matches_a_model_under_interleaved_mutation(
+        ops in prop::collection::vec(model_op(), 1..40),
+        probes in prop::collection::vec(
+            (model_filter(), prop::collection::vec((0u8..2u8, 0u8..3u8), 0..3)),
+            1..4,
+        ),
+    ) {
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+        // The model: normalized entries keyed by rendered DN, which is
+        // also the order every search must answer in.
+        let mut model: BTreeMap<String, Entry> = BTreeMap::new();
+        let mut dit = Dit::new();
+        for op in ops {
+            match op {
+                Op::Upsert(mut e) => {
+                    dit.upsert(e.clone());
+                    e.normalize_naming_attr();
+                    model.insert(e.dn().to_string(), e);
+                }
+                Op::Delete(path) => {
+                    let dn = path_dn(&path);
+                    let gone = dit.delete(&dn).map(|e| e.dn().to_string());
+                    prop_assert_eq!(gone, model.remove(&dn.to_string()).map(|e| e.dn().to_string()));
+                }
+                Op::DeleteSubtree(path) => {
+                    let dn = path_dn(&path);
+                    let before = model.len();
+                    model.retain(|_, e| !e.dn().is_under(&dn));
+                    prop_assert_eq!(dit.delete_subtree(&dn), before - model.len());
+                }
+                Op::Rebuild(rot, batch) => {
+                    let mut current: Vec<Arc<Entry>> = dit.iter().cloned().map(Arc::new).collect();
+                    let n = current.len().max(1);
+                    current.rotate_left(rot % n);
+                    current.extend(batch.iter().cloned().map(Arc::new));
+                    dit = Dit::bulk_load_shared(current);
+                    for mut e in batch {
+                        e.normalize_naming_attr();
+                        model.insert(e.dn().to_string(), e);
+                    }
+                }
+            }
+            let stored: Vec<&Entry> = dit.iter().collect();
+            let modelled: Vec<&Entry> = model.values().collect();
+            prop_assert_eq!(stored, modelled);
+            for (filter, base_path) in &probes {
+                let base = path_dn(base_path);
+                for scope in [Scope::Base, Scope::One, Scope::Sub] {
+                    let want: Vec<String> = model
+                        .values()
+                        .filter(|e| match scope {
+                            Scope::Base => e.dn() == &base,
+                            Scope::One => e.dn().parent().as_ref() == Some(&base),
+                            Scope::Sub => e.dn().is_under(&base),
+                        })
+                        .filter(|e| filter.matches(e))
+                        .map(|e| e.dn().to_string())
+                        .collect();
+                    for limit in [0usize, 1, 3] {
+                        let got: Vec<String> = dit
+                            .search_shared(&base, scope, filter, &[], limit)
+                            .iter()
+                            .map(|e| e.dn().to_string())
+                            .collect();
+                        let expect = if limit == 0 { &want[..] } else { &want[..want.len().min(limit)] };
+                        prop_assert_eq!(
+                            &got[..], expect,
+                            "{:?} search of {} for {} (limit {})", scope, base, filter, limit
+                        );
+                    }
+                }
+            }
         }
     }
 

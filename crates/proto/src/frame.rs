@@ -313,6 +313,33 @@ mod tests {
     }
 
     #[test]
+    fn receive_buffer_stays_bounded_on_a_long_lived_stream() {
+        let msg = ProtocolMessage::Request(GripRequest::Search {
+            id: 7,
+            spec: SearchSpec::lookup(Dn::parse("hn=h, o=O1").unwrap()),
+        });
+        let framed = frame_bytes(&msg).unwrap();
+        let mut dec = FrameDecoder::new();
+        for i in 0..100_000 {
+            // Alternate whole frames with frames split mid-header.
+            if i % 2 == 0 {
+                dec.feed(&framed);
+            } else {
+                dec.feed(&framed[..2]);
+                assert!(dec.next().unwrap().is_none());
+                dec.feed(&framed[2..]);
+            }
+            assert_eq!(dec.next().unwrap().unwrap(), msg);
+        }
+        assert!(!dec.mid_frame());
+        assert!(
+            dec.buf.capacity() <= 16 * framed.len(),
+            "receive buffer grew to {} bytes",
+            dec.buf.capacity()
+        );
+    }
+
+    #[test]
     fn frames_roundtrip_back_to_back() {
         let mut buf = BytesMut::new();
         for m in sample() {
